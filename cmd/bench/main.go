@@ -16,13 +16,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -34,13 +37,68 @@ import (
 	"repro/internal/store"
 )
 
+// record is one benchmark record. Its header names the host and the
+// build it measured: CPU count and GOMAXPROCS bound what the parallel
+// variants can show, and the commit ties the numbers to the source.
 type record struct {
 	Comment    string  `json:"comment"`
 	Date       string  `json:"date"`
 	Goos       string  `json:"goos"`
 	Goarch     string  `json:"goarch"`
 	CPU        string  `json:"cpu"`
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	GoVersion  string  `json:"go_version"`
+	Commit     string  `json:"commit"`
 	Benchmarks []entry `json:"benchmarks"`
+}
+
+// newRecord returns an empty record stamped with the host and build.
+func newRecord(comment string) record {
+	return record{
+		Comment:    comment,
+		Date:       time.Now().Format("2006-01-02"),
+		Goos:       runtime.GOOS,
+		Goarch:     runtime.GOARCH,
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     commit(),
+	}
+}
+
+// commit returns the source revision being measured: the VCS stamp of
+// a built binary, else (under go run) git's HEAD, with "-dirty" when
+// the tree has uncommitted changes; "unknown" when neither is
+// available.
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, modified string
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				modified = s.Value
+			}
+		}
+		if rev != "" {
+			if modified == "true" {
+				rev += "-dirty"
+			}
+			return rev
+		}
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(bytes.TrimSpace(st)) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 type entry struct {
@@ -75,14 +133,8 @@ func main() {
 		}
 	}
 
-	rec := record{
-		Comment: "Scheduler-core benchmark record over the benchkit instance ladder. " +
-			"Regenerate with: go run ./cmd/bench -out BENCH_sched.json",
-		Date:   time.Now().Format("2006-01-02"),
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		CPU:    cpuModel(),
-	}
+	rec := newRecord("Scheduler-core benchmark record over the benchkit instance ladder. " +
+		"Regenerate with: go run ./cmd/bench -out BENCH_sched.json")
 	if *simMode {
 		rec.Comment = "Benchmark record for the Monte-Carlo simulation layer: single-iteration " +
 			"replay plus the campaign ladder (16/256/4096 runs; sequential vs pooled-8 vs 2-shard). " +

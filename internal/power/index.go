@@ -170,20 +170,48 @@ func (ix *segIndex) firstAtOrBelow(from int, x float64) int {
 	return -1
 }
 
-// ensureIndex materializes the profile if needed and (re)builds the
-// segment index for it.
+// maxRange returns the largest power among segments [l, r), or -Inf
+// when the range is empty.
+func (ix *segIndex) maxRange(l, r int) float64 {
+	m := negInf
+	for l, r = l+ix.size, r+ix.size; l < r; l, r = l/2, r/2 {
+		if l%2 == 1 {
+			if ix.max[l] > m {
+				m = ix.max[l]
+			}
+			l++
+		}
+		if r%2 == 1 {
+			r--
+			if ix.max[r] > m {
+				m = ix.max[r]
+			}
+		}
+	}
+	return m
+}
+
+// ensureIndex commits the live state if needed and builds the segment
+// index for the committed profile.
 func (tr *Tracker) ensureIndex() {
 	tr.Profile()
+	tr.buildIndex()
+}
+
+// buildIndex builds the segment index over the committed profile
+// unless it is current. It never materializes: a probe reads the
+// committed index while moves are pending.
+func (tr *Tracker) buildIndex() {
 	if !tr.idxOK {
-		tr.idx.build(tr.prof.Segs)
+		tr.idx.build(tr.cm.prof.Segs)
 		tr.idxOK = true
 	}
 }
 
-// segAt returns the index of the materialized segment containing t, or
+// segAt returns the index of the committed segment containing t, or
 // -1 when t falls outside [0, tau).
 func (tr *Tracker) segAt(t model.Time) int {
-	segs := tr.prof.Segs
+	segs := tr.cm.prof.Segs
 	i := sort.Search(len(segs), func(i int) bool { return segs[i].T1 > t })
 	if i < len(segs) && segs[i].T0 <= t {
 		return i
@@ -197,7 +225,7 @@ func (tr *Tracker) segAt(t model.Time) int {
 // peak is maintained during the segment sweep.
 func (tr *Tracker) ValidMax(pmax float64) bool {
 	tr.Profile()
-	return !(tr.maxP > pmax)
+	return !(tr.cm.maxP > pmax)
 }
 
 // FirstAbove returns the start of the earliest profile segment whose
@@ -206,7 +234,7 @@ func (tr *Tracker) ValidMax(pmax float64) bool {
 // for the first P > pmax, in O(log m) via the segment index.
 func (tr *Tracker) FirstAbove(pmax float64) (model.Time, bool) {
 	tr.Profile()
-	if !(tr.maxP > pmax) {
+	if !(tr.cm.maxP > pmax) {
 		return 0, false
 	}
 	tr.ensureIndex()
@@ -214,7 +242,7 @@ func (tr *Tracker) FirstAbove(pmax float64) (model.Time, bool) {
 	if i < 0 {
 		return 0, false
 	}
-	return tr.prof.Segs[i].T0, true
+	return tr.cm.prof.Segs[i].T0, true
 }
 
 // RunEndAbove returns the end of the maximal contiguous run of
@@ -226,15 +254,15 @@ func (tr *Tracker) FirstAbove(pmax float64) (model.Time, bool) {
 func (tr *Tracker) RunEndAbove(t model.Time, pmax float64) model.Time {
 	tr.Profile()
 	i := tr.segAt(t)
-	if i < 0 || !(tr.prof.Segs[i].P > pmax) {
+	if i < 0 || !(tr.cm.prof.Segs[i].P > pmax) {
 		return t + 1
 	}
 	tr.ensureIndex()
 	j := tr.idx.firstAtOrBelow(i+1, pmax)
 	if j < 0 {
-		j = len(tr.prof.Segs)
+		j = len(tr.cm.prof.Segs)
 	}
-	return tr.prof.Segs[j-1].T1
+	return tr.cm.prof.Segs[j-1].T1
 }
 
 // RunEndBelow returns the end of the maximal contiguous run of
@@ -244,13 +272,13 @@ func (tr *Tracker) RunEndAbove(t model.Time, pmax float64) model.Time {
 func (tr *Tracker) RunEndBelow(t model.Time, pmin float64) model.Time {
 	tr.Profile()
 	i := tr.segAt(t)
-	if i < 0 || !(tr.prof.Segs[i].P < pmin) {
+	if i < 0 || !(tr.cm.prof.Segs[i].P < pmin) {
 		return t + 1
 	}
 	tr.ensureIndex()
 	j := tr.idx.firstAtOrAbove(i+1, pmin)
 	if j < 0 {
-		j = len(tr.prof.Segs)
+		j = len(tr.cm.prof.Segs)
 	}
-	return tr.prof.Segs[j-1].T1
+	return tr.cm.prof.Segs[j-1].T1
 }

@@ -19,6 +19,14 @@ import (
 // the running prefix sum). Heuristics that compare profile values
 // against thresholds therefore make identical decisions on the
 // incremental and the from-scratch path.
+//
+// The tracker keeps a committed profile — the last materialization,
+// with its peak, floor, segment index and free energy — apart from the
+// live breakpoints that Move edits. Moves since the commit are pending;
+// moving every pending task back to its committed start makes the
+// tracker clean again without rematerializing. Accepts decides the
+// min-power acceptance test on the pending state from the committed
+// profile plus a sweep over the moved window (see probe.go).
 type Tracker struct {
 	tasks []model.Task
 	base  float64
@@ -38,17 +46,49 @@ type Tracker struct {
 	// free recycles the contribution slices of emptied buckets so that
 	// steady-state Move/Reset churn allocates nothing once the slices
 	// have grown to their working sizes.
-	free  [][]contrib
-	prof  Profile
-	dirty bool
-	// maxP and minP are the materialized profile's peak and floor,
-	// maintained for free during the segment sweep so per-probe validity
-	// checks are O(1); idx is the hierarchical spike/gap index over the
-	// materialized segments, rebuilt lazily on first query per
-	// materialization (see index.go).
-	maxP, minP float64
-	idx        segIndex
-	idxOK      bool
+	free [][]contrib
+
+	// cm is the committed profile and cstart the starts it was
+	// materialized at; stale means no committed profile describes the
+	// current task set (after Reset). idx is the hierarchical
+	// spike/gap index over cm's segments, rebuilt lazily on the first
+	// query after each commit (see index.go).
+	cm     snapshot
+	cstart []model.Time
+	stale  bool
+	idx    segIndex
+	idxOK  bool
+	// pend counts the tasks whose live start differs from cstart, and
+	// [winLo, winHi] covers every breakpoint a pending move touched:
+	// live buckets outside it equal the committed ones.
+	pend         int
+	winLo, winHi model.Time
+	// sp is an exact materialization of the live state made by a probe
+	// that could not be decided from the estimate; the next Profile
+	// call promotes it instead of materializing again. spOK is cleared
+	// by every Move and Reset.
+	sp   snapshot
+	spOK bool
+
+	counts TrackerCounts
+}
+
+// snapshot is one materialized profile with the aggregates read
+// without a segment walk: its exact peak and floor (maintained during
+// the sweep) and, once asked for, its exact free energy at one pmin.
+type snapshot struct {
+	prof            Profile
+	maxP, minP      float64
+	freeE, freePmin float64
+	freeOK          bool
+}
+
+// TrackerCounts are a tracker's lifetime work counters, for tests and
+// diagnostics.
+type TrackerCounts struct {
+	Materializations int // full breakpoint sweeps into segments
+	Probes           int // Accepts calls
+	Fallbacks        int // Accepts calls decided on an exact materialization
 }
 
 const (
@@ -73,6 +113,7 @@ func NewTracker(tasks []model.Task, s schedule.Schedule, base float64) *Tracker 
 		tasks:  tasks,
 		base:   base,
 		start:  make([]model.Time, len(tasks)),
+		cstart: make([]model.Time, len(tasks)),
 		delays: make([]model.Time, len(tasks)),
 		powers: make([]float64, len(tasks)),
 	}
@@ -100,40 +141,74 @@ func (tr *Tracker) Reset(s schedule.Schedule) {
 		tr.add(tr.start[v], v, kindStart, tr.powers[v])
 		tr.add(tr.start[v]+tr.delays[v], v, kindEnd, -tr.powers[v])
 	}
-	tr.dirty = true
+	tr.stale = true
+	tr.pend = 0
+	tr.spOK = false
 }
 
 // Move repositions task v to start at s, updating the affected
 // breakpoints. Cost is O(log B) to locate each breakpoint plus the
 // slice splice, independent of how the rest of the schedule looks.
+// Moving the last pending task back to its committed start leaves the
+// tracker clean: the committed profile is current again.
 func (tr *Tracker) Move(v int, s model.Time) {
-	if s == tr.start[v] {
+	old := tr.start[v]
+	if s == old {
 		return
 	}
 	d, p := tr.delays[v], tr.powers[v]
-	old := tr.start[v]
 	tr.remove(old, v, kindStart)
 	tr.remove(old+d, v, kindEnd)
 	tr.start[v] = s
 	tr.add(s, v, kindStart, p)
 	tr.add(s+d, v, kindEnd, -p)
-	tr.dirty = true
+	tr.spOK = false
+	if tr.stale {
+		return
+	}
+	lo, hi := min(old, s, old+d, s+d), max(old, s, old+d, s+d)
+	if tr.pend == 0 {
+		tr.winLo, tr.winHi = lo, hi
+	} else {
+		tr.winLo, tr.winHi = min(tr.winLo, lo), max(tr.winHi, hi)
+	}
+	if c := tr.cstart[v]; old == c {
+		tr.pend++
+	} else if s == c {
+		tr.pend--
+	}
 }
 
 // Start returns the tracked start time of task v.
 func (tr *Tracker) Start(v int) model.Time { return tr.start[v] }
 
-// Profile materializes the current power profile. The result is cached
-// until the next Move/Reset; callers must not retain it across
-// mutations (its segment slice is reused).
+// Profile returns the current power profile, committing the live state:
+// it materializes the breakpoints (or promotes a probe's exact
+// materialization of the same state) unless the tracker is clean.
+// Callers must not retain the result across mutations (its segment
+// slice is reused).
 func (tr *Tracker) Profile() Profile {
-	if !tr.dirty {
-		return tr.prof
+	if tr.clean() {
+		return tr.cm.prof
 	}
-	tr.prof = tr.materialize(tr.prof.Segs[:0])
-	tr.dirty = false
-	return tr.prof
+	if tr.spOK {
+		tr.cm, tr.sp = tr.sp, tr.cm
+		tr.spOK = false
+	} else {
+		tr.materialize(&tr.cm)
+	}
+	copy(tr.cstart, tr.start)
+	tr.stale = false
+	tr.pend = 0
+	tr.idxOK = false
+	return tr.cm.prof
 }
+
+// clean reports whether the committed profile describes the live state.
+func (tr *Tracker) clean() bool { return !tr.stale && tr.pend == 0 }
+
+// Counts returns the tracker's lifetime work counters.
+func (tr *Tracker) Counts() TrackerCounts { return tr.counts }
 
 // bucketIdx returns the position of time t in the bucket list and
 // whether a bucket at exactly t exists.
@@ -216,25 +291,32 @@ func (tr *Tracker) remove(t model.Time, task, kind int) {
 	panic("power: tracker removal of unknown contribution")
 }
 
+// tau returns the live finish time. It is the largest breakpoint:
+// every task's end is a breakpoint at start+delay, and any breakpoint is
+// a start or end bounded by some end, so max(breakpoint) ==
+// max(start+delay). The bucket list is time-ordered, making this O(1)
+// instead of an O(n) scan over the task set.
+func (tr *Tracker) tau() model.Time {
+	if n := len(tr.buckets); n > 0 {
+		return tr.buckets[n-1].t
+	}
+	return 0
+}
+
 // materialize sweeps the breakpoints into merged segments exactly the
 // way Build does: each breakpoint's contributions are summed into a
 // single delta (base first at 0 and tau), the running power is the
 // prefix sum of those deltas, and adjacent equal-power segments merge.
-func (tr *Tracker) materialize(segs []Segment) Profile {
-	tr.maxP = negInf
-	tr.minP = posInf
-	tr.idxOK = false
-	// The finish time is the largest breakpoint: every task's end is a
-	// breakpoint at start+delay, and any breakpoint is a start or end
-	// bounded by some end, so max(breakpoint) == max(start+delay). The
-	// bucket list is time-ordered, making this O(1) instead of an O(n)
-	// scan over the task set per materialization.
-	var tau model.Time
-	if len(tr.buckets) > 0 {
-		tau = tr.buckets[len(tr.buckets)-1].t
-	}
+// The result replaces out, reusing its segment slice.
+func (tr *Tracker) materialize(out *snapshot) {
+	tr.counts.Materializations++
+	segs := out.prof.Segs[:0]
+	out.freeOK = false
+	maxP, minP := negInf, posInf
+	tau := tr.tau()
 	if tau == 0 {
-		return Profile{}
+		out.prof, out.maxP, out.minP = Profile{}, maxP, minP
+		return
 	}
 	var cur float64
 	prevT := model.Time(0)
@@ -246,11 +328,11 @@ func (tr *Tracker) materialize(segs []Segment) Profile {
 		if t1 > tau {
 			t1 = tau
 		}
-		if cur > tr.maxP {
-			tr.maxP = cur
+		if cur > maxP {
+			maxP = cur
 		}
-		if cur < tr.minP {
-			tr.minP = cur
+		if cur < minP {
+			minP = cur
 		}
 		if n := len(segs); n > 0 && segs[n-1].P == cur && segs[n-1].T1 == t0 {
 			segs[n-1].T1 = t1
@@ -291,5 +373,5 @@ func (tr *Tracker) materialize(segs []Segment) Profile {
 	// delta is never added to the running power, it only terminates the
 	// last segment.
 	flush(prevT, tau)
-	return Profile{Segs: segs}
+	out.prof, out.maxP, out.minP = Profile{Segs: segs}, maxP, minP
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -218,13 +220,10 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		cp := st.g.Mark()
 		changed, ok := st.delay(v, newStart)
 		if ok {
-			np := st.prof(sigma)
-			if st.powerValid(np, prob.Pmax) && np.Duration() <= tau {
-				if u := np.Utilization(prob.Pmin); u > curU+utilEps && st.timeValid(sigma) {
-					st.st.Moves++
-					st.curU = u
-					return true
-				}
+			if u, acc := st.accepts(sigma, tau, curU+utilEps); acc && st.timeValid(sigma) {
+				st.st.Moves++
+				st.curU = u
+				return true
 			}
 		}
 		st.g.Rollback(cp)
@@ -239,6 +238,18 @@ type gapCand struct {
 	v      int
 	power  float64
 	finish model.Time
+}
+
+// gapCandCmp orders gap-fill candidates by descending power, then
+// descending finish time.
+func gapCandCmp(a, b gapCand) int {
+	switch {
+	case a.power > b.power || (a.power == b.power && a.finish > b.finish):
+		return -1
+	case b.power > a.power || (b.power == a.power && b.finish > a.finish):
+		return 1
+	}
+	return 0
 }
 
 // gapCandidates returns tasks that finish at or before t and have
@@ -261,17 +272,9 @@ func (st *state) gapCandidates(sigma schedule.Schedule, t model.Time) []int {
 		cs = append(cs, gapCand{v: v, power: tasks[v].Power, finish: fin})
 	}
 	st.gapCands = cs
-	// Selection order: descending power, then latest finish, then index.
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := cs[j-1], cs[j]
-			if b.power > a.power || (b.power == a.power && b.finish > a.finish) {
-				cs[j-1], cs[j] = b, a
-			} else {
-				break
-			}
-		}
-	}
+	// Selection order: descending power, then latest finish, then index
+	// (cs is built in index order and the sort is stable).
+	slices.SortStableFunc(cs, gapCandCmp)
 	out := st.gapOrder[:0]
 	for _, c := range cs {
 		out = append(out, c.v)

@@ -905,15 +905,24 @@ func (st *state) pollCancel() error {
 	}
 }
 
-// powerValid reports whether the profile respects the max power
-// budget: Profile.Valid on the naive path, the tracker's O(1)
-// materialized peak on the incremental one (bit-identical — both
-// compare the same exact segment powers against pmax).
-func (st *state) powerValid(np power.Profile, pmax float64) bool {
-	if st.opts.Naive {
-		return np.Valid(pmax)
+// accepts is the min-power acceptance test on the working schedule
+// sigma, short of time validity: power-valid, finishing by tau, and
+// utilization strictly above uThr; u is the utilization when accepted.
+// The naive path tests a from-scratch profile; the incremental one asks
+// the tracker, which certifies most rejections without materializing
+// and decides the rest on the exact profile (power.Tracker.Accepts), so
+// both paths decide identically.
+func (st *state) accepts(sigma schedule.Schedule, tau model.Time, uThr float64) (u float64, ok bool) {
+	prob := st.c.Prob
+	if !st.opts.Naive {
+		return st.tr.Accepts(prob.Pmin, prob.Pmax, tau, uThr)
 	}
-	return st.tr.ValidMax(pmax)
+	np := st.prof(sigma)
+	if !np.Valid(prob.Pmax) || np.Duration() > tau {
+		return 0, false
+	}
+	u = np.Utilization(prob.Pmin)
+	return u, u > uThr
 }
 
 // timeValid reports whether the working schedule is time-valid. The

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -183,7 +181,7 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		}
 	}
 
-	for _, v := range st.gapCandidates(sigma, t) {
+	for _, v := range st.gapCandidates(sigma, t, tau) {
 		if st.pollCancel() != nil {
 			return false
 		}
@@ -231,54 +229,4 @@ func (st *state) fillGapAt(sigma schedule.Schedule, t model.Time, slot SlotChoic
 		st.st.Rejected++
 	}
 	return false
-}
-
-// gapCand is a gap-fill candidate with its selection keys.
-type gapCand struct {
-	v      int
-	power  float64
-	finish model.Time
-}
-
-// gapCandCmp orders gap-fill candidates by descending power, then
-// descending finish time.
-func gapCandCmp(a, b gapCand) int {
-	switch {
-	case a.power > b.power || (a.power == b.power && a.finish > b.finish):
-		return -1
-	case b.power > a.power || (b.power == a.power && b.finish > a.finish):
-		return 1
-	}
-	return 0
-}
-
-// gapCandidates returns tasks that finish at or before t and have
-// enough slack to be delayed into activity at t, most powerful first
-// (a bigger consumer fills more of the gap), ties broken by later
-// finish then index. The result lives in state-owned buffers reused
-// across calls.
-func (st *state) gapCandidates(sigma schedule.Schedule, t model.Time) []int {
-	cs := st.gapCands[:0]
-	tasks := st.tasks
-	for v := range tasks {
-		fin := sigma.Start[v] + tasks[v].Delay
-		if fin > t {
-			continue // still running at or after t; delaying cannot help
-		}
-		sl := st.slackOf(sigma, v)
-		if sl < t-sigma.Start[v]-tasks[v].Delay+1 {
-			continue // cannot reach t
-		}
-		cs = append(cs, gapCand{v: v, power: tasks[v].Power, finish: fin})
-	}
-	st.gapCands = cs
-	// Selection order: descending power, then latest finish, then index
-	// (cs is built in index order and the sort is stable).
-	slices.SortStableFunc(cs, gapCandCmp)
-	out := st.gapOrder[:0]
-	for _, c := range cs {
-		out = append(out, c.v)
-	}
-	st.gapOrder = out
-	return out
 }

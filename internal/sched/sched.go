@@ -579,6 +579,10 @@ type state struct {
 	tr       *power.Tracker
 	slackVal []model.Time
 	slackOK  []bool
+	// reach indexes tasks by reach window for the min-power stage's gap
+	// candidate query; its entries follow the slack cache's
+	// invalidations (see reachIndex).
+	reach reachIndex
 
 	// cur is the working longest-path solution — one flat bank of
 	// length g.N() that every stage mutates in place. The task prefix
@@ -622,7 +626,6 @@ type state struct {
 	skipGen   []int         // epoch marks for fixSpike's skipped set
 	skipEpoch int
 	gapTimes  []model.Time // below-Pmin segment starts per scan
-	gapCands  []gapCand    // gap-fill candidates under construction
 	gapOrder  []int        // gap-fill candidates, selection-ordered
 	bestBuf   []model.Time // min-power best-schedule snapshot
 	comboBase []model.Time // min-power combo-entry schedule snapshot
@@ -697,9 +700,7 @@ func (st *state) reset(r int) {
 	for i := range st.prio {
 		st.prio[i] = i
 	}
-	for i := range st.slackOK {
-		st.slackOK[i] = false
-	}
+	st.dirtySlackAll()
 	st.timingMark = 0
 	st.undo = st.undo[:0]
 	if st.c.Hetero {
@@ -861,26 +862,30 @@ func (st *state) undoDelay(changed []graph.DistSave) {
 }
 
 // dirtySlack invalidates the cached slack of task w and of every task
-// with an outgoing constraint edge into w.
+// with an outgoing constraint edge into w, and queues the same tasks'
+// reach-index entries for a re-read.
 func (st *state) dirtySlack(w int) {
 	if st.opts.Naive {
 		return
 	}
 	st.slackOK[w] = false
+	st.reach.enqueue(w)
 	for _, e := range st.g.In(w) {
 		if e.From != st.c.Anchor {
 			st.slackOK[e.From] = false
+			st.reach.enqueue(e.From)
 		}
 	}
 }
 
-// dirtySlackAll invalidates every cached slack (used at stage and
-// heuristic-combo boundaries, where graph rollbacks remove edges en
-// masse).
+// dirtySlackAll invalidates every cached slack and the whole reach
+// index (used at stage and heuristic-combo boundaries, where graph
+// rollbacks remove edges en masse).
 func (st *state) dirtySlackAll() {
 	for i := range st.slackOK {
 		st.slackOK[i] = false
 	}
+	st.reach.invalidate()
 }
 
 // pollCancel is the cooperative cancellation point of every heuristic

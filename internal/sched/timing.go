@@ -213,8 +213,8 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 							}
 						}
 					}
-					for u := 0; u < n; u++ {
-						if u != c && !visited[u] && st.c.Res[u] == res {
+					for _, u := range st.c.ResTasks(res) {
+						if u != c && !visited[u] {
 							st.g.AddEdge(c, u, d)
 						}
 					}
@@ -234,8 +234,8 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 						}
 					}
 					if feasible {
-						for u := 0; u < n; u++ {
-							if u != c && !visited[u] && st.c.Res[u] == res {
+						for _, u := range st.c.ResTasks(res) {
+							if u != c && !visited[u] {
 								if st.undo, feasible = st.g.AddEdgeRelaxUndo(dist, c, u, d, st.undo); !feasible {
 									break
 								}

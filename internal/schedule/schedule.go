@@ -41,6 +41,11 @@ type Compiled struct {
 	// compare these ints instead of the resource strings.
 	Res    []int
 	NumRes int
+	// resOff and resTasks list each resource's tasks in CSR form: the
+	// tasks of resource r, ascending, are resTasks[resOff[r]:resOff[r+1]]
+	// (see ResTasks).
+	resOff   []int
+	resTasks []int
 }
 
 // Compile validates the problem and lowers its constraints to graph
@@ -109,12 +114,34 @@ func Compile(p *model.Problem) (*Compiled, error) {
 		c.Res[i] = id
 	}
 	c.NumRes = len(resID)
+	// Counting sort: resOff[r] first accumulates resource r's end
+	// offset, then a descending fill walks it back to r's start.
+	bank := make([]int, c.NumRes+1+n)
+	c.resOff, c.resTasks = bank[:c.NumRes+1:c.NumRes+1], bank[c.NumRes+1:]
+	for _, r := range c.Res {
+		c.resOff[r]++
+	}
+	for r := 1; r < c.NumRes; r++ {
+		c.resOff[r] += c.resOff[r-1]
+	}
+	c.resOff[c.NumRes] = n
+	for i := n - 1; i >= 0; i-- {
+		r := c.Res[i]
+		c.resOff[r]--
+		c.resTasks[c.resOff[r]] = i
+	}
 	c.Hetero = p.Heterogeneous()
 	c.Choices = make([][]model.TaskChoice, n)
 	for i := range c.Choices {
 		c.Choices[i] = p.TaskChoices(i)
 	}
 	return c, nil
+}
+
+// ResTasks returns the tasks on resource r in ascending index order.
+// The slice is shared and must not be modified.
+func (c *Compiled) ResTasks(r int) []int {
+	return c.resTasks[c.resOff[r]:c.resOff[r+1]]
 }
 
 // NumTasks returns the number of real (non-anchor) tasks.

@@ -215,3 +215,29 @@ func TestCompileGraphIsReusable(t *testing.T) {
 		t.Fatalf("Base polluted: dist=%v", dist)
 	}
 }
+
+func TestResTasksListsEachResourceAscending(t *testing.T) {
+	p := &model.Problem{Name: "res"}
+	for i, r := range []string{"X", "Y", "X", "Z", "Y", "X"} {
+		p.Tasks = append(p.Tasks, model.Task{Name: string(rune('a' + i)), Resource: r, Delay: 1})
+	}
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
+	if c.NumRes != len(want) {
+		t.Fatalf("NumRes = %d, want %d", c.NumRes, len(want))
+	}
+	for r, w := range want {
+		got := c.ResTasks(r)
+		if len(got) != len(w) {
+			t.Fatalf("ResTasks(%d) = %v, want %v", r, got, w)
+		}
+		for i := range w {
+			if got[i] != w[i] || c.Res[got[i]] != r {
+				t.Fatalf("ResTasks(%d) = %v, want %v", r, got, w)
+			}
+		}
+	}
+}

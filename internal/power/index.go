@@ -22,16 +22,39 @@ var (
 //
 // The tree is rebuilt from the segment slice in O(m); the tracker does
 // so lazily on the first query after each materialization, and the node
-// banks are reused across rebuilds.
+// banks are reused across rebuilds. The same pass records the running
+// maxima from either end, which answer a probe's prefix and suffix
+// peaks in O(1).
 type segIndex struct {
 	m    int       // live leaf count (number of segments)
 	size int       // padded leaf count: smallest power of two >= m
 	max  []float64 // 2*size nodes, 1-based; leaf i lives at size+i
 	min  []float64
+	pre  []float64 // pre[i]: largest power among segments [0, i]
+	suf  []float64 // suf[i]: largest power among segments [i, m)
 }
 
 func (ix *segIndex) build(segs []Segment) {
 	ix.m = len(segs)
+	if cap(ix.pre) < ix.m {
+		ix.pre = make([]float64, ix.m)
+		ix.suf = make([]float64, ix.m)
+	}
+	ix.pre, ix.suf = ix.pre[:ix.m], ix.suf[:ix.m]
+	hi := negInf
+	for i, sg := range segs {
+		if sg.P > hi {
+			hi = sg.P
+		}
+		ix.pre[i] = hi
+	}
+	hi = negInf
+	for i := ix.m - 1; i >= 0; i-- {
+		if segs[i].P > hi {
+			hi = segs[i].P
+		}
+		ix.suf[i] = hi
+	}
 	size := 1
 	for size < ix.m {
 		size *= 2
@@ -168,27 +191,6 @@ func (ix *segIndex) firstAtOrBelow(from int, x float64) int {
 		v /= 2
 	}
 	return -1
-}
-
-// maxRange returns the largest power among segments [l, r), or -Inf
-// when the range is empty.
-func (ix *segIndex) maxRange(l, r int) float64 {
-	m := negInf
-	for l, r = l+ix.size, r+ix.size; l < r; l, r = l/2, r/2 {
-		if l%2 == 1 {
-			if ix.max[l] > m {
-				m = ix.max[l]
-			}
-			l++
-		}
-		if r%2 == 1 {
-			r--
-			if ix.max[r] > m {
-				m = ix.max[r]
-			}
-		}
-	}
-	return m
 }
 
 // ensureIndex commits the live state if needed and builds the segment

@@ -88,14 +88,14 @@ type probeEst struct {
 // ok is false when no estimate is available: nothing is committed or
 // pending, pmin is not positive, or the finish time moved.
 //
-// Live buckets before winLo equal the committed ones, so the running
-// power entering the window is the committed power at winLo-1, bit for
-// bit. The sweep over the buckets in [winLo, winHi] repeats
-// materialize's operations, so the window's live powers are exact as
-// well. After the window the buckets are again the committed ones, but
-// the running sum enters them with a different rounding: the live
-// powers there are committed powers plus a drift that the error terms
-// bound. DESIGN.md §8 derives the bounds.
+// Live breakpoints before winLo equal the committed ones, so the
+// running power entering the window is the committed power at winLo-1,
+// bit for bit. The sweep over the breakpoints in [winLo, winHi] adds
+// their cached deltas as materialize does, so the window's live powers
+// are exact as well. After the window the breakpoints are again the
+// committed ones, but the running sum enters them with a different
+// rounding: the live powers there are committed powers plus a drift
+// that the error terms bound. DESIGN.md §8 derives the bounds.
 func (tr *Tracker) estimate(pmin float64) (e probeEst, ok bool) {
 	tau := tr.tau()
 	lo, hi := tr.winLo, tr.winHi
@@ -104,18 +104,22 @@ func (tr *Tracker) estimate(pmin float64) (e probeEst, ok bool) {
 	}
 	cm := &tr.cm
 	segs := cm.prof.Segs
-	bk := tr.buckets
+	bp := tr.bp
 	tr.buildIndex()
 
 	// Running power entering the window, and the exact prefix peak.
+	// j is the committed segment holding lo.
 	var cur float64
 	e.peak = negInf
-	i, _ := tr.bucketIdx(lo)
+	j := 0
 	if lo > 0 {
-		j := tr.segAt(lo - 1)
+		j = tr.segAt(lo - 1)
 		cur = segs[j].P
-		e.peak = tr.idx.maxRange(0, j+1)
-	} else if i == len(bk) || bk[i].t > 0 {
+		e.peak = tr.idx.pre[j]
+		if segs[j].T1 == lo {
+			j++
+		}
+	} else if !tr.hasZero() {
 		cur += tr.base // Build's implicit breakpoint at 0
 	}
 
@@ -134,46 +138,37 @@ func (tr *Tracker) estimate(pmin float64) (e probeEst, ok bool) {
 		if cur < wMin {
 			wMin = cur
 		}
-		v := cur
-		if v > pmin {
-			v = pmin
-		}
-		wNew += v * float64(t1-t0)
-	}
-	for ; i < len(bk) && bk[i].t <= hi && bk[i].t < tau; i++ {
-		b := &bk[i]
-		span(b.t)
-		var bs float64
-		if b.t == 0 {
-			bs = tr.base
-		}
-		for _, c := range b.cs {
-			bs += c.p
-		}
-		cur += bs
-		t0 = b.t
+		wNew += min(cur, pmin) * float64(t1-t0)
 	}
 	tEnd := tau
-	if i < len(bk) && bk[i].t < tau {
-		tEnd = bk[i].t
+sweep:
+	for s := tr.nextSlot(lo >> tr.shift); s >= 0; s = tr.nextSlot(s + 1) {
+		for b := tr.slot[s]; b >= 0; b = bp[b].next {
+			t := bp[b].t
+			if t < lo {
+				continue
+			}
+			if t > hi || t >= tau {
+				tEnd = min(t, tau)
+				break sweep
+			}
+			span(t)
+			cur += bp[b].delta
+			t0 = t
+		}
 	}
 	span(tEnd)
 	e.end = tEnd
 
 	// The committed free energy over the same window.
 	var wOld float64
-	j := tr.segAt(lo)
 	for ; j < len(segs) && segs[j].T0 < tEnd; j++ {
-		v := segs[j].P
-		if v > pmin {
-			v = pmin
-		}
-		wOld += v * float64(min(segs[j].T1, tEnd)-max(segs[j].T0, lo))
+		wOld += min(segs[j].P, pmin) * float64(min(segs[j].T1, tEnd)-max(segs[j].T0, lo))
 	}
 
 	// Drift after the window. With o_k/n_k the committed/live powers
 	// at the k-th later breakpoint and d_k = n_k - o_k, both sums add
-	// the same bucket delta and round once, so
+	// the same breakpoint delta and round once, so
 	// |d_k| <= |d_0| + u·Σ(|o_i| + |n_i|) <= |d_0| + u·K·(2A + D),
 	// where A bounds |o| and D = max|d_k|; hence
 	// D <= (|d_0| + 2u·K·A) / (1 - u·K), doubled for safety.
@@ -189,9 +184,9 @@ func (tr *Tracker) estimate(pmin float64) (e probeEst, ok bool) {
 		if segs[jb].T0 > tEnd-1 {
 			jb--
 		}
-		uk := unitRoundoff * float64(len(bk))
+		uk := unitRoundoff * float64(tr.nbp)
 		drift = 2 * (math.Abs(cur-segs[jb].P) + 2*uk*a) / (1 - uk)
-		e.peakAfter = tr.idx.maxRange(ja, len(segs))
+		e.peakAfter = tr.idx.suf[ja]
 		e.peakAfterErr = drift
 	}
 
@@ -202,7 +197,7 @@ func (tr *Tracker) estimate(pmin float64) (e probeEst, ok bool) {
 	// below round once each. Doubled, plus 16u·V·tau for the rounding
 	// of the bound and of certainReject's comparison.
 	v := max(pmin, a+drift, math.Abs(e.peak), math.Abs(wMin))
-	m := float64(max(len(segs), len(bk)) + 2)
+	m := float64(max(len(segs), tr.nbp) + 2)
 	gm := m * unitRoundoff / (1 - m*unitRoundoff)
 	ft := float64(tau)
 	e.free = (cm.freeEnergy(pmin) - wOld) + wNew

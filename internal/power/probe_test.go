@@ -71,7 +71,10 @@ func maxPower(segs []Segment, from, to model.Time) float64 {
 // only the exact fallback can decide), that the estimate's certified
 // bounds hold, that a revert leaves the committed profile current
 // without materializing, and that a commit yields Build's segments.
-func checkTrackerProbe(t *testing.T, seed int64, n, rounds int) {
+// scale stretches the time axis; moves past the finish time and moves
+// that pull the last-ending task in exercise the directory's growth and
+// a shrinking finish time.
+func checkTrackerProbe(t *testing.T, seed int64, n, rounds int, scale model.Time) {
 	rng := rand.New(rand.NewSource(seed))
 	pmin := []float64{1, 10.0 / 3, 7.1, 0.3}[rng.Intn(4)]
 	pmax := pmin * (1.5 + 2*rng.Float64())
@@ -82,10 +85,11 @@ func checkTrackerProbe(t *testing.T, seed int64, n, rounds int) {
 	tasks := make([]model.Task, n)
 	s := schedule.Schedule{Start: make([]model.Time, n)}
 	for i := range tasks {
-		tasks[i] = model.Task{Name: fmt.Sprintf("t%d", i), Delay: 1 + rng.Intn(6), Power: adversarialPower(rng, pmin, pmax)}
-		s.Start[i] = model.Time(rng.Intn(3 * n))
+		tasks[i] = model.Task{Name: fmt.Sprintf("t%d", i), Delay: 1 + rng.Intn(6*scale), Power: adversarialPower(rng, pmin, pmax)}
+		s.Start[i] = model.Time(rng.Intn(3 * n * scale))
 	}
 	tr := NewTracker(tasks, s, base)
+	checkLayout(t, tr)
 	committed := Build(tasks, s, base)
 	if got := tr.Profile(); !profilesEqual(got, committed) {
 		t.Fatalf("seed %d: initial profile mismatch", seed)
@@ -97,17 +101,29 @@ func checkTrackerProbe(t *testing.T, seed int64, n, rounds int) {
 		var order []int
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			v := rng.Intn(n)
+			kind := rng.Intn(8)
+			if kind == 1 {
+				v = lastTask(tasks, s)
+			}
 			if _, ok := moved[v]; !ok {
 				moved[v] = s.Start[v]
 				order = append(order, v)
 			}
-			ns := s.Start[v] + model.Time(rng.Intn(9)) - 3
-			if rng.Intn(4) == 0 {
-				ns = model.Time(rng.Intn(int(tau) + 2))
+			var ns model.Time
+			switch {
+			case kind == 0 && tau < 1<<40: // past the finish time
+				ns = tau + model.Time(rng.Intn(2*tau+1))
+			case kind == 1: // pull the last-ending task in
+				ns = model.Time(rng.Intn(tau/2 + 1))
+			case kind < 4:
+				ns = model.Time(rng.Intn(tau + 2))
+			default:
+				ns = s.Start[v] + model.Time(rng.Intn(9*scale)) - 3*scale
 			}
 			s.Start[v] = max(ns, 0)
 			tr.Move(v, s.Start[v])
 		}
+		checkLayout(t, tr)
 		live := Build(tasks, s, base)
 		liveU, livePeak, liveTau := live.Utilization(pmin), maxPower(live.Segs, 0, live.Duration()), live.Duration()
 
@@ -174,11 +190,11 @@ func checkTrackerProbe(t *testing.T, seed int64, n, rounds int) {
 	}
 }
 
-// TestTrackerProbeMatchesOracle runs the probe check over many seeds
-// and sizes.
+// TestTrackerProbeMatchesOracle runs the probe check over many seeds,
+// sizes and time scales.
 func TestTrackerProbeMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		checkTrackerProbe(t, seed, 1+int(seed%24), 25)
+		checkTrackerProbe(t, seed, 1+int(seed%24), 25, trackerScales[seed%int64(len(trackerScales))])
 	}
 }
 
@@ -231,12 +247,13 @@ func TestTrackerProbeCertifiesRejects(t *testing.T) {
 }
 
 // FuzzTrackerProbe fuzzes the probe check: random task sets with
-// adversarial powers, random move sets, commit or revert.
+// adversarial powers, random move sets, commit or revert, on a time
+// axis stretched by 2^(scaleExp mod 31).
 func FuzzTrackerProbe(f *testing.F) {
-	for _, seed := range []int64{0, 1, 2, 7, 42, 1 << 20, -3, 99991} {
-		f.Add(seed, uint8(seed&31), uint8(12))
+	for i, seed := range []int64{0, 1, 2, 7, 42, 1 << 20, -3, 99991} {
+		f.Add(seed, uint8(seed&31), uint8(12), uint8([]int{0, 30, 1, 10, 0, 20, 5, 30}[i]))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, n, rounds uint8) {
-		checkTrackerProbe(t, seed, 1+int(n%48), 1+int(rounds%40))
+	f.Fuzz(func(t *testing.T, seed int64, n, rounds, scaleExp uint8) {
+		checkTrackerProbe(t, seed, 1+int(n%48), 1+int(rounds%40), 1<<(scaleExp%31))
 	})
 }

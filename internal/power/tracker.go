@@ -1,6 +1,8 @@
 package power
 
 import (
+	"math/bits"
+
 	"repro/internal/model"
 	"repro/internal/schedule"
 )
@@ -27,26 +29,47 @@ import (
 // tracker clean again without rematerializing. Accepts decides the
 // min-power acceptance test on the pending state from the committed
 // profile plus a sweep over the moved window (see probe.go).
+//
+// The live breakpoints are pointer-free banks. Each task contributes
+// two fixed nodes, id 2v (+Power at its start) and 2v+1 (-Power at its
+// end). A breakpoint lists its contributor nodes in ascending id — the
+// order Build accumulates them — and caches their sum, so a sweep adds
+// one delta per breakpoint. Breakpoints are found through a slot
+// directory: slot t>>shift heads a time-ordered chain of the
+// breakpoints in that slot, and a bitmap of non-empty slots lets a
+// sweep skip empty ones. The directory has 2·max(n,1) slots; Reset
+// widens slots until the finish time falls in the first half, and a
+// move past the directory's horizon widens them again, so there are
+// O(n) slots and a chain holds O(1) breakpoints when breakpoints are
+// spread over the horizon.
 type Tracker struct {
 	tasks []model.Task
 	base  float64
 	start []model.Time
-	// delays and powers are flat per-task banks mirroring the Delay and
-	// Power fields of tasks, refreshed on Reset (a heterogeneous
-	// scheduler rewrites the task view between restarts). The hot loops
-	// — materialize's finish-time scan and Move's breakpoint updates —
-	// read these dense 8-byte entries instead of copying ~88-byte
-	// model.Task values (runtime.duffcopy on profiles).
+	// delays mirrors the Delay fields of tasks and nodeP holds each
+	// contribution node's signed power, both refreshed on Reset (a
+	// heterogeneous scheduler rewrites the task view between restarts).
+	// The hot loops read these dense entries instead of copying ~88-byte
+	// model.Task values.
 	delays []model.Time
-	powers []float64
-	// buckets holds, per breakpoint time, the ordered task
-	// contributions (base is handled virtually at 0 and tau, which
-	// moves as the finish time changes). Sorted by time.
-	buckets []bucket
-	// free recycles the contribution slices of emptied buckets so that
-	// steady-state Move/Reset churn allocates nothing once the slices
-	// have grown to their working sizes.
-	free [][]contrib
+	nodeP  []float64
+	// nodeNext links a node to the next (higher-id) contributor of its
+	// breakpoint, -1 at the end; nodeBp is the node's breakpoint.
+	nodeNext []int32
+	nodeBp   []int32
+
+	// bp is the breakpoint pool (at most one live breakpoint per node)
+	// and free the stack of unused entries; nbp counts the live ones.
+	bp   []breakpoint
+	free []int32
+	nbp  int
+	// slot heads each slot's chain of breakpoints (ascending time, -1
+	// when empty); occ has bit b set iff slot b is non-empty. lastT is
+	// the largest live breakpoint time: the live finish time.
+	shift uint
+	slot  []int32
+	occ   []uint64
+	lastT model.Time
 
 	// cm is the committed profile and cstart the starts it was
 	// materialized at; stale means no committed profile describes the
@@ -60,7 +83,7 @@ type Tracker struct {
 	idxOK  bool
 	// pend counts the tasks whose live start differs from cstart, and
 	// [winLo, winHi] covers every breakpoint a pending move touched:
-	// live buckets outside it equal the committed ones.
+	// live breakpoints outside it equal the committed ones.
 	pend         int
 	winLo, winHi model.Time
 	// sp is an exact materialization of the live state made by a probe
@@ -91,31 +114,35 @@ type TrackerCounts struct {
 	Fallbacks        int // Accepts calls decided on an exact materialization
 }
 
-const (
-	kindStart = 0 // +Power at the task's start time
-	kindEnd   = 1 // -Power at the task's end time
-)
-
-type contrib struct {
-	task int
-	kind int
-	p    float64 // signed contribution
-}
-
-type bucket struct {
-	t  model.Time
-	cs []contrib
+// breakpoint is one live breakpoint time. delta is Build's sum for it:
+// fl(base + Σ p) at time 0, fl(Σ p) elsewhere, adding the contributor
+// nodes from head in ascending id.
+type breakpoint struct {
+	t     model.Time
+	delta float64
+	head  int32 // first contributor node
+	next  int32 // next breakpoint in the same slot, -1 at the end
 }
 
 // NewTracker builds a tracker for the given tasks positioned at s.
 func NewTracker(tasks []model.Task, s schedule.Schedule, base float64) *Tracker {
+	n := len(tasks)
+	times := make([]model.Time, 3*n)
+	slots := 2 * max(n, 1)
+	links := make([]int32, 6*n+slots)
 	tr := &Tracker{
-		tasks:  tasks,
-		base:   base,
-		start:  make([]model.Time, len(tasks)),
-		cstart: make([]model.Time, len(tasks)),
-		delays: make([]model.Time, len(tasks)),
-		powers: make([]float64, len(tasks)),
+		tasks:    tasks,
+		base:     base,
+		start:    times[:n:n],
+		cstart:   times[n : 2*n : 2*n],
+		delays:   times[2*n:],
+		nodeP:    make([]float64, 2*n),
+		nodeNext: links[: 2*n : 2*n],
+		nodeBp:   links[2*n : 4*n : 4*n],
+		free:     links[4*n : 6*n : 6*n],
+		slot:     links[6*n:],
+		bp:       make([]breakpoint, 2*n),
+		occ:      make([]uint64, (slots+63)/64),
 	}
 	tr.Reset(s)
 	return tr
@@ -128,18 +155,39 @@ func NewTracker(tasks []model.Task, s schedule.Schedule, base float64) *Tracker 
 // view's effective delays and powers between restarts.
 func (tr *Tracker) Reset(s schedule.Schedule) {
 	copy(tr.start, s.Start)
-	for i := range tr.buckets {
-		tr.recycle(tr.buckets[i].cs)
-		tr.buckets[i].cs = nil
-	}
-	tr.buckets = tr.buckets[:0]
+	tau := model.Time(0)
 	for v := range tr.tasks {
-		tr.delays[v] = tr.tasks[v].Delay
-		tr.powers[v] = tr.tasks[v].Power
+		d, p := tr.tasks[v].Delay, tr.tasks[v].Power
+		tr.delays[v] = d
+		tr.nodeP[2*v], tr.nodeP[2*v+1] = p, -p
+		tau = max(tau, tr.start[v]+d)
 	}
-	for v := range tr.delays {
-		tr.add(tr.start[v], v, kindStart, tr.powers[v])
-		tr.add(tr.start[v]+tr.delays[v], v, kindEnd, -tr.powers[v])
+	// Slot width: the smallest power of two leaving the finish time in
+	// the directory's first half, so moves have room to grow it.
+	tr.shift = 0
+	for tau>>tr.shift >= len(tr.slot)/2 {
+		tr.shift++
+	}
+	for i := range tr.slot {
+		tr.slot[i] = -1
+	}
+	clear(tr.occ)
+	// Pop order hands out breakpoints 0, 1, 2, ...: after the inserts
+	// below the live ones are exactly bp[:nbp].
+	tr.free = tr.free[:cap(tr.free)]
+	for i := range tr.free {
+		tr.free[i] = int32(len(tr.free) - 1 - i)
+	}
+	tr.nbp, tr.lastT = 0, 0
+	// Inserting in descending id order makes every insert a push onto
+	// the breakpoint's list head; the deltas are summed once at the end.
+	for id := len(tr.nodeP) - 1; id >= 0; id-- {
+		b := tr.breakpointAt(tr.nodeTime(int32(id)))
+		tr.nodeNext[id], tr.bp[b].head = tr.bp[b].head, int32(id)
+		tr.nodeBp[id] = b
+	}
+	for b := range tr.nbp {
+		tr.redelta(int32(b))
 	}
 	tr.stale = true
 	tr.pend = 0
@@ -147,8 +195,8 @@ func (tr *Tracker) Reset(s schedule.Schedule) {
 }
 
 // Move repositions task v to start at s, updating the affected
-// breakpoints. Cost is O(log B) to locate each breakpoint plus the
-// slice splice, independent of how the rest of the schedule looks.
+// breakpoints: each of the four is found through its slot in O(1) for
+// breakpoints spread over the horizon, and edited in O(contributors).
 // Moving the last pending task back to its committed start leaves the
 // tracker clean: the committed profile is current again.
 func (tr *Tracker) Move(v int, s model.Time) {
@@ -156,12 +204,13 @@ func (tr *Tracker) Move(v int, s model.Time) {
 	if s == old {
 		return
 	}
-	d, p := tr.delays[v], tr.powers[v]
-	tr.remove(old, v, kindStart)
-	tr.remove(old+d, v, kindEnd)
+	d := tr.delays[v]
+	id := int32(2 * v)
+	tr.remove(id)
+	tr.remove(id + 1)
 	tr.start[v] = s
-	tr.add(s, v, kindStart, p)
-	tr.add(s+d, v, kindEnd, -p)
+	tr.add(id, s)
+	tr.add(id+1, s+d)
 	tr.spOK = false
 	if tr.stale {
 		return
@@ -210,104 +259,199 @@ func (tr *Tracker) clean() bool { return !tr.stale && tr.pend == 0 }
 // Counts returns the tracker's lifetime work counters.
 func (tr *Tracker) Counts() TrackerCounts { return tr.counts }
 
-// bucketIdx returns the position of time t in the bucket list and
-// whether a bucket at exactly t exists.
-func (tr *Tracker) bucketIdx(t model.Time) (int, bool) {
-	lo, hi := 0, len(tr.buckets)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if tr.buckets[mid].t < t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// nodeTime returns the time node id sits at: its task's start or end.
+func (tr *Tracker) nodeTime(id int32) model.Time {
+	v := id >> 1
+	return tr.start[v] + model.Time(id&1)*tr.delays[v]
+}
+
+// breakpointAt returns the live breakpoint at time t, creating an
+// empty one (and widening the slots first when t lies past the
+// directory's horizon) if there is none.
+func (tr *Tracker) breakpointAt(t model.Time) int32 {
+	if t < 0 {
+		panic("power: tracker breakpoint at negative time")
+	}
+	for t>>tr.shift >= model.Time(len(tr.slot)) {
+		tr.widen()
+	}
+	s := t >> tr.shift
+	prev, b := int32(-1), tr.slot[s]
+	for b >= 0 && tr.bp[b].t < t {
+		prev, b = b, tr.bp[b].next
+	}
+	if b >= 0 && tr.bp[b].t == t {
+		return b
+	}
+	k := len(tr.free) - 1
+	nb := tr.free[k]
+	tr.free = tr.free[:k]
+	tr.bp[nb] = breakpoint{t: t, head: -1, next: b}
+	if prev < 0 {
+		tr.slot[s] = nb
+		tr.occ[s>>6] |= 1 << (s & 63)
+	} else {
+		tr.bp[prev].next = nb
+	}
+	tr.nbp++
+	tr.lastT = max(tr.lastT, t)
+	return nb
+}
+
+// add places node id at time t, keeping its breakpoint's contributors
+// in ascending id, and re-sums that breakpoint's delta.
+func (tr *Tracker) add(id int32, t model.Time) {
+	b := tr.breakpointAt(t)
+	tr.nodeBp[id] = b
+	h := tr.bp[b].head
+	if h < 0 || h > id {
+		tr.nodeNext[id], tr.bp[b].head = h, id
+	} else {
+		q := h
+		for tr.nodeNext[q] >= 0 && tr.nodeNext[q] < id {
+			q = tr.nodeNext[q]
 		}
+		tr.nodeNext[id], tr.nodeNext[q] = tr.nodeNext[q], id
 	}
-	return lo, lo < len(tr.buckets) && tr.buckets[lo].t == t
+	tr.redelta(b)
 }
 
-// add inserts the contribution of (task, kind) at time t, keeping the
-// bucket's contributions ordered the way Build accumulates them: by
-// task index, start before end.
-func (tr *Tracker) add(t model.Time, task, kind int, p float64) {
-	i, ok := tr.bucketIdx(t)
-	if !ok {
-		tr.buckets = append(tr.buckets, bucket{})
-		copy(tr.buckets[i+1:], tr.buckets[i:])
-		tr.buckets[i] = bucket{t: t, cs: tr.grab()}
-	}
-	b := &tr.buckets[i]
-	j := len(b.cs)
-	for j > 0 {
-		c := b.cs[j-1]
-		if c.task < task || (c.task == task && c.kind < kind) {
-			break
+// remove takes node id off its breakpoint. A breakpoint left without
+// contributors is deleted, matching Build, which only has breakpoints
+// at times some task currently touches.
+func (tr *Tracker) remove(id int32) {
+	b := tr.nodeBp[id]
+	p := &tr.bp[b]
+	if p.head == id {
+		p.head = tr.nodeNext[id]
+	} else {
+		q := p.head
+		for tr.nodeNext[q] != id {
+			q = tr.nodeNext[q]
 		}
-		j--
+		tr.nodeNext[q] = tr.nodeNext[id]
 	}
-	b.cs = append(b.cs, contrib{})
-	copy(b.cs[j+1:], b.cs[j:])
-	b.cs[j] = contrib{task: task, kind: kind, p: p}
-}
-
-// recycle returns a bucket's contribution slice to the freelist.
-func (tr *Tracker) recycle(cs []contrib) {
-	if cap(cs) > 0 {
-		tr.free = append(tr.free, cs[:0])
+	if p.head >= 0 {
+		tr.redelta(b)
+		return
 	}
-}
-
-// grab pops a recycled contribution slice, or returns nil so the first
-// append sizes a fresh one.
-func (tr *Tracker) grab() []contrib {
-	n := len(tr.free)
-	if n == 0 {
-		return nil
+	t := p.t
+	s := t >> tr.shift
+	if q := tr.slot[s]; q == b {
+		tr.slot[s] = p.next
+		if p.next < 0 {
+			tr.occ[s>>6] &^= 1 << (s & 63)
+		}
+	} else {
+		for tr.bp[q].next != b {
+			q = tr.bp[q].next
+		}
+		tr.bp[q].next = p.next
 	}
-	cs := tr.free[n-1]
-	tr.free[n-1] = nil
-	tr.free = tr.free[:n-1]
-	return cs
-}
-
-// remove deletes the contribution of (task, kind) at time t. Buckets
-// left without contributors are removed entirely, matching Build, which
-// only creates breakpoints for times some task currently touches.
-func (tr *Tracker) remove(t model.Time, task, kind int) {
-	i, ok := tr.bucketIdx(t)
-	if !ok {
-		panic("power: tracker removal at unknown breakpoint")
-	}
-	b := &tr.buckets[i]
-	for j, c := range b.cs {
-		if c.task == task && c.kind == kind {
-			b.cs = append(b.cs[:j], b.cs[j+1:]...)
-			if len(b.cs) == 0 {
-				tr.recycle(b.cs)
-				tr.buckets = append(tr.buckets[:i], tr.buckets[i+1:]...)
+	tr.free = append(tr.free, b)
+	tr.nbp--
+	if t == tr.lastT {
+		tr.lastT = 0
+		if s = tr.prevSlot(s); s >= 0 {
+			q := tr.slot[s]
+			for tr.bp[q].next >= 0 {
+				q = tr.bp[q].next
 			}
-			return
+			tr.lastT = tr.bp[q].t
 		}
 	}
-	panic("power: tracker removal of unknown contribution")
+}
+
+// redelta re-sums breakpoint b's delta the way Build does: base first
+// at time 0, then the contributors in ascending id.
+func (tr *Tracker) redelta(b int32) {
+	var d float64
+	if tr.bp[b].t == 0 {
+		d = tr.base
+	}
+	for q := tr.bp[b].head; q >= 0; q = tr.nodeNext[q] {
+		d += tr.nodeP[q]
+	}
+	tr.bp[b].delta = d
+}
+
+// widen doubles the slot width, concatenating each pair of adjacent
+// chains (every time in slot 2k precedes every time in slot 2k+1).
+func (tr *Tracker) widen() {
+	n := len(tr.slot)
+	for k := 0; k < n/2; k++ {
+		a, c := tr.slot[2*k], tr.slot[2*k+1]
+		if a < 0 {
+			a = c
+		} else if c >= 0 {
+			q := a
+			for tr.bp[q].next >= 0 {
+				q = tr.bp[q].next
+			}
+			tr.bp[q].next = c
+		}
+		tr.slot[k] = a
+	}
+	for k := n / 2; k < n; k++ {
+		tr.slot[k] = -1
+	}
+	clear(tr.occ)
+	for k, h := range tr.slot[:n/2] {
+		if h >= 0 {
+			tr.occ[k>>6] |= 1 << (k & 63)
+		}
+	}
+	tr.shift++
+}
+
+// nextSlot returns the first non-empty slot >= s, or -1.
+func (tr *Tracker) nextSlot(s int) int {
+	w := s >> 6
+	if w >= len(tr.occ) {
+		return -1
+	}
+	if x := tr.occ[w] >> (s & 63); x != 0 {
+		return s + bits.TrailingZeros64(x)
+	}
+	for w++; w < len(tr.occ); w++ {
+		if x := tr.occ[w]; x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// prevSlot returns the last non-empty slot <= s, or -1.
+func (tr *Tracker) prevSlot(s int) int {
+	w := s >> 6
+	if x := tr.occ[w] << (63 - s&63); x != 0 {
+		return s - bits.LeadingZeros64(x)
+	}
+	for w--; w >= 0; w-- {
+		if x := tr.occ[w]; x != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(x)
+		}
+	}
+	return -1
+}
+
+// hasZero reports whether a live breakpoint sits at time 0 (the first
+// one in slot 0, when there is one).
+func (tr *Tracker) hasZero() bool {
+	b := tr.slot[0]
+	return b >= 0 && tr.bp[b].t == 0
 }
 
 // tau returns the live finish time. It is the largest breakpoint:
 // every task's end is a breakpoint at start+delay, and any breakpoint is
 // a start or end bounded by some end, so max(breakpoint) ==
-// max(start+delay). The bucket list is time-ordered, making this O(1)
-// instead of an O(n) scan over the task set.
-func (tr *Tracker) tau() model.Time {
-	if n := len(tr.buckets); n > 0 {
-		return tr.buckets[n-1].t
-	}
-	return 0
-}
+// max(start+delay).
+func (tr *Tracker) tau() model.Time { return tr.lastT }
 
 // materialize sweeps the breakpoints into merged segments exactly the
-// way Build does: each breakpoint's contributions are summed into a
-// single delta (base first at 0 and tau), the running power is the
-// prefix sum of those deltas, and adjacent equal-power segments merge.
-// The result replaces out, reusing its segment slice.
+// way Build does: each breakpoint's cached delta is added to the
+// running power, the prefix sum, and adjacent equal-power segments
+// merge. The result replaces out, reusing its segment slice.
 func (tr *Tracker) materialize(out *snapshot) {
 	tr.counts.Materializations++
 	segs := out.prof.Segs[:0]
@@ -318,60 +462,43 @@ func (tr *Tracker) materialize(out *snapshot) {
 		out.prof, out.maxP, out.minP = Profile{}, maxP, minP
 		return
 	}
+	// emit closes the segment [prevT, t1) at the running power cur.
+	// Breakpoint times strictly increase, so the segments are contiguous.
 	var cur float64
 	prevT := model.Time(0)
-	started := false
-	flush := func(t0, t1 model.Time) {
-		if t1 <= t0 || t0 >= tau {
-			return
-		}
-		if t1 > tau {
-			t1 = tau
-		}
+	emit := func(t1 model.Time) {
 		if cur > maxP {
 			maxP = cur
 		}
 		if cur < minP {
 			minP = cur
 		}
-		if n := len(segs); n > 0 && segs[n-1].P == cur && segs[n-1].T1 == t0 {
+		if n := len(segs); n > 0 && segs[n-1].P == cur {
 			segs[n-1].T1 = t1
 		} else {
-			segs = append(segs, Segment{T0: t0, T1: t1, P: cur})
+			segs = append(segs, Segment{T0: prevT, T1: t1, P: cur})
 		}
 	}
-	step := func(t model.Time, bs float64, cs []contrib) {
-		for _, c := range cs {
-			bs += c.p
-		}
-		if started {
-			flush(prevT, t)
-		}
-		cur += bs
-		prevT = t
-		started = true
+	// Build always has a breakpoint at 0 (the base load starts there),
+	// even when no task does. Build's final breakpoint is tau (where the
+	// base load ends); its delta is never added to the running power, it
+	// only terminates the last segment.
+	if !tr.hasZero() {
+		cur += tr.base
 	}
-	seen0 := false
-	for i := 0; i < len(tr.buckets) && tr.buckets[i].t < tau; i++ {
-		b := tr.buckets[i]
-		var bs float64
-		if b.t == 0 {
-			bs = tr.base
-			seen0 = true
-		} else if !seen0 {
-			// Build always has a breakpoint at 0 (the base load starts
-			// there), even when no task does.
-			step(0, tr.base, nil)
-			seen0 = true
+	for s := tr.nextSlot(0); s >= 0; s = tr.nextSlot(s + 1) {
+		for b := tr.slot[s]; b >= 0; b = tr.bp[b].next {
+			t := tr.bp[b].t
+			if t >= tau {
+				break
+			}
+			if t > 0 {
+				emit(t)
+				prevT = t
+			}
+			cur += tr.bp[b].delta
 		}
-		step(b.t, bs, b.cs)
 	}
-	if !seen0 {
-		step(0, tr.base, nil)
-	}
-	// Build's final breakpoint is tau (where the base load ends); its
-	// delta is never added to the running power, it only terminates the
-	// last segment.
-	flush(prevT, tau)
+	emit(tau)
 	out.prof, out.maxP, out.minP = Profile{Segs: segs}, maxP, minP
 }

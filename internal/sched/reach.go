@@ -70,6 +70,19 @@ func (ix *reachIndex) enqueue(v int) {
 	ix.queue = append(ix.queue, v)
 }
 
+// truncate unqueues the tasks queued after the queue held mark
+// entries: the move that queued them was rolled back exactly, so their
+// entries are current again.
+func (ix *reachIndex) truncate(mark int) {
+	if !ix.valid {
+		return
+	}
+	for _, v := range ix.queue[mark:] {
+		ix.queued[v] = false
+	}
+	ix.queue = ix.queue[:mark]
+}
+
 // invalidate drops the whole index; the next query rebuilds it.
 func (ix *reachIndex) invalidate() {
 	for _, v := range ix.queue {

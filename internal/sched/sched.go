@@ -579,6 +579,11 @@ type state struct {
 	tr       *power.Tracker
 	slackVal []model.Time
 	slackOK  []bool
+	// slackUndo lists the cache entries the last applyMove invalidated
+	// and reachMark the reach queue's length before it, so undoDelay can
+	// restore both after rolling that move back.
+	slackUndo []int
+	reachMark int
 	// reach indexes tasks by reach window for the min-power stage's gap
 	// candidate query; its entries follow the slack cache's
 	// invalidations (see reachIndex).
@@ -619,6 +624,8 @@ type state struct {
 	// not need to clear it.
 	dist      []int         // timing search's live longest-path solution
 	visited   []bool        // timing search visit marks
+	unvis     []int         // timing search's unvisited tasks
+	unvisPos  []int         // each task's index in unvis
 	order     startSorter   // allocation-free sort.Interface for compaction
 	delayDist []int         // FullRecompute delay's previous-solution snapshot
 	feasBuf   []int         // lock feasibility probe output
@@ -662,6 +669,8 @@ func newState(ctx context.Context, c *schedule.Compiled, opts Options, inc *atom
 	st.delayDist = make([]int, st.g.N())
 	st.feasBuf = make([]int, st.g.N())
 	st.visited = make([]bool, n)
+	unv := make([]int, 2*n)
+	st.unvis, st.unvisPos = unv[:n:n], unv[n:]
 	st.skipGen = make([]int, n)
 	st.minDel = make([]model.Time, n)
 	for v := range st.minDel {
@@ -829,12 +838,14 @@ func (st *state) prof(sigma schedule.Schedule) power.Profile {
 // invalidates the moved tasks plus their constraint-graph
 // in-neighborhood (any task with an outgoing edge into a moved task
 // reads the moved start in its slack). Anchor entries are skipped — the
-// anchor is not a task.
+// anchor is not a task. The invalidations are journaled for undoDelay.
 func (st *state) applyMove(changed []graph.DistSave) {
 	if st.opts.Naive {
 		return
 	}
 	n := st.c.NumTasks()
+	st.slackUndo = st.slackUndo[:0]
+	st.reachMark = len(st.reach.queue)
 	for _, e := range changed {
 		if e.V < n {
 			st.tr.Move(e.V, st.cur[e.V])
@@ -844,10 +855,13 @@ func (st *state) applyMove(changed []graph.DistSave) {
 }
 
 // undoDelay reverses a successful delay the caller rejected, after the
-// caller rolled the graph back: the journal replays backwards into cur,
-// and the tracker and slack cache follow each restored task (the cache
-// entries may have been recomputed against the rejected schedule in
-// between).
+// caller rolled the graph back: the journal replays backwards into cur
+// and the tracker follows each restored task. Graph and schedule are
+// now exactly as before the delay, and nothing read a slack in between
+// (the acceptance test reads only the tracker and the edges), so the
+// slack cache entries the delay invalidated are valid again and the
+// reach-index entries it queued are current: both journals are
+// replayed backwards instead of recomputing them.
 func (st *state) undoDelay(changed []graph.DistSave) {
 	n := st.c.NumTasks()
 	naive := st.opts.Naive
@@ -856,26 +870,41 @@ func (st *state) undoDelay(changed []graph.DistSave) {
 		st.cur[e.V] = e.Old
 		if !naive && e.V < n {
 			st.tr.Move(e.V, e.Old)
-			st.dirtySlack(e.V)
 		}
 	}
+	if naive || changed == nil {
+		return
+	}
+	for i := len(st.slackUndo) - 1; i >= 0; i-- {
+		st.slackOK[st.slackUndo[i]] = true
+	}
+	st.reach.truncate(st.reachMark)
 }
 
 // dirtySlack invalidates the cached slack of task w and of every task
 // with an outgoing constraint edge into w, and queues the same tasks'
-// reach-index entries for a re-read.
+// reach-index entries for a re-read. Each cache entry it invalidates
+// is journaled in slackUndo.
 func (st *state) dirtySlack(w int) {
 	if st.opts.Naive {
 		return
 	}
-	st.slackOK[w] = false
-	st.reach.enqueue(w)
+	st.dirtySlackOne(w)
 	for _, e := range st.g.In(w) {
 		if e.From != st.c.Anchor {
-			st.slackOK[e.From] = false
-			st.reach.enqueue(e.From)
+			st.dirtySlackOne(e.From)
 		}
 	}
+}
+
+// dirtySlackOne invalidates v's cached slack, journaling it when it
+// was valid, and queues v's reach-index entry.
+func (st *state) dirtySlackOne(v int) {
+	if st.slackOK[v] {
+		st.slackOK[v] = false
+		st.slackUndo = append(st.slackUndo, v)
+	}
+	st.reach.enqueue(v)
 }
 
 // dirtySlackAll invalidates every cached slack and the whole reach

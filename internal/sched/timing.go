@@ -144,6 +144,14 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 	for i := range visited {
 		visited[i] = false
 	}
+	// unv[:n-count] lists the unvisited tasks at recursion depth count
+	// (in no particular order) and pos[v] is v's index in unv. Visiting
+	// c swaps it to the end of that prefix, where the deeper levels,
+	// which only permute the shorter prefix, leave it.
+	unv, pos := st.unvis, st.unvisPos
+	for i := range unv {
+		unv[i], pos[i] = i, i
+	}
 	budget := st.opts.MaxBacktracks
 	clipped := false
 	if prune && specBacktracks < budget {
@@ -163,14 +171,11 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 			// Lazy min-selection of the next candidate: every unvisited
 			// task with key (dist, prio) strictly greater than the last
 			// tried key, minimal among those. prio is a permutation, so
-			// keys are unique and the enumeration reproduces the sorted
-			// candidate order.
+			// keys are unique: the enumeration reproduces the sorted
+			// candidate order whatever the order of unv.
 			c := -1
 			var selD, selP int
-			for v := 0; v < n; v++ {
-				if visited[v] {
-					continue
-				}
+			for _, v := range unv[:n-count] {
 				dv, pv := dist[v], st.prio[v]
 				if haveLast && (dv < lastD || (dv == lastD && pv <= lastP)) {
 					continue
@@ -255,6 +260,9 @@ func (st *state) timingSearch(prune bool) (sigma schedule.Schedule, skipped, gav
 						st.tasks[c].Delay = ch.Delay
 						st.tasks[c].Power = ch.Power
 					}
+					last, p := n-count-1, pos[c]
+					unv[p], unv[last] = unv[last], c
+					pos[unv[p]], pos[c] = p, last
 					visited[c] = true
 					if visit(count + 1) {
 						return true
